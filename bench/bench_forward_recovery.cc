@@ -24,14 +24,13 @@ struct CrashResult {
   uint64_t leaves_after_restart = 0;
   uint64_t moved_after_restart = 0;  // records moved to FINISH the pass
   double recovery_secs = 0;
-  // Segment/redo forensics (ISSUE 10): redo scan volume and rate.
+  // Segment/redo forensics: redo scan volume and rate.
   uint64_t wal_bytes_scanned = 0;
   uint64_t segments_scanned = 0;
   bool tail_torn = false;
-  int redo_threads = 1;
 };
 
-CrashResult RunOne(RecoveryPolicy policy, int crash_at, int redo_threads) {
+CrashResult RunOne(RecoveryPolicy policy, int crash_at) {
   MemEnv env;
   CrashInjector injector(&env);
   DatabaseOptions options;
@@ -39,7 +38,6 @@ CrashResult RunOne(RecoveryPolicy policy, int crash_at, int redo_threads) {
   options.log_buffer_bytes = 256;   // tiny group-commit cap: WAL writes happen
                                     // mid-unit, so crashes land inside units
   options.wal_segment_bytes = 64 * 1024;  // redo crosses segment boundaries
-  options.redo_threads = redo_threads;
   std::unique_ptr<Database> db;
   Database::Open(&env, options, &db);
   std::vector<uint64_t> survivors;
@@ -66,7 +64,6 @@ CrashResult RunOne(RecoveryPolicy policy, int crash_at, int redo_threads) {
   r.wal_bytes_scanned = db->recovery_result().wal_bytes_scanned;
   r.segments_scanned = db->recovery_result().segments_scanned;
   r.tail_torn = db->recovery_result().tail_segment_torn;
-  r.redo_threads = db->recovery_result().redo_threads_used;
   r.open_unit = db->recovery_result().reorg.has_open_unit;
   r.lk = DecodeU64Key(db->reorg_table()->largest_finished_key());
   r.leaves_after_restart = Shape(db.get()).leaf_pages;
@@ -100,7 +97,6 @@ struct RedoBenchResult {
   uint64_t scan_bytes = 0;       // bytes the raw scan covered
   uint64_t records_redone = 0;
   uint64_t segments_scanned = 0;
-  int threads_used = 1;
 
   double redo_mb_per_s() const {
     return recovery_secs > 0
@@ -112,12 +108,11 @@ struct RedoBenchResult {
   }
 };
 
-RedoBenchResult MeasureRedo(int updates, int redo_threads) {
+RedoBenchResult MeasureRedo(int updates) {
   MemEnv base;
   FaultInjectionEnv env(&base);
   DatabaseOptions options;
   options.wal_segment_bytes = 64 * 1024;
-  options.redo_threads = redo_threads;
   std::unique_ptr<Database> db;
   Database::Open(&env, options, &db);
   std::vector<uint64_t> survivors;
@@ -161,7 +156,6 @@ RedoBenchResult MeasureRedo(int updates, int redo_threads) {
   r.redo_bytes = db->recovery_result().wal_bytes_scanned;
   r.records_redone = db->recovery_result().records_redone;
   r.segments_scanned = db->recovery_result().segments_scanned;
-  r.threads_used = db->recovery_result().redo_threads_used;
   return r;
 }
 
@@ -185,7 +179,7 @@ int main(int argc, char** argv) {
   for (int crash_at : crash_points) {
     for (RecoveryPolicy policy :
          {RecoveryPolicy::kForward, RecoveryPolicy::kRollback}) {
-      CrashResult r = RunOne(policy, crash_at, /*redo_threads=*/1);
+      CrashResult r = RunOne(policy, crash_at);
       if (!r.crashed) {
         std::printf("wal#%-5d (pass finished before this point)\n", crash_at);
         break;
@@ -218,8 +212,7 @@ int main(int argc, char** argv) {
     }
   }
   // The CI-gated rate: MB of WAL replayed per second of restart, summed
-  // over the forward-policy runs (serial redo — the oracle path every
-  // configuration exercises).
+  // over the forward-policy runs.
   const double redo_rate = redo_secs_total > 0
                                ? redo_bytes_total / redo_secs_total /
                                      (1024.0 * 1024.0)
@@ -228,57 +221,34 @@ int main(int argc, char** argv) {
   std::printf("\naggregate redo rate: %.1f MB/s over %.4f s of recovery\n",
               redo_rate, redo_secs_total);
 
-  // Parallel-redo parity check at one crash point: same recovery, 4 redo
-  // workers. On a single hardware thread this is a correctness+overhead
-  // probe, not a speedup claim.
-  {
-    CrashResult r = RunOne(RecoveryPolicy::kForward, crash_points.front(), 4);
-    if (r.crashed) {
-      const double mb_per_s =
-          r.recovery_secs > 0
-              ? r.wal_bytes_scanned / r.recovery_secs / (1024.0 * 1024.0)
-              : 0;
-      std::printf("parallel redo (threads=%d): %.4f s, %.1f MB/s\n",
-                  r.redo_threads, r.recovery_secs, mb_per_s);
-      json.Add("e4/parallel/recovery_s", r.recovery_secs, "s",
-               r.redo_threads);
-      json.Add("e4/parallel/redo_mb_per_s", mb_per_s, "MB/s",
-               r.redo_threads);
-    }
-  }
   // P6 — redo throughput and the CI-gated normalized ratio.
   {
     const int updates = quick ? 3000 : 12000;
-    RedoBenchResult serial = MeasureRedo(updates, /*redo_threads=*/1);
-    RedoBenchResult par = MeasureRedo(updates, /*redo_threads=*/4);
+    RedoBenchResult redo = MeasureRedo(updates);
     const double redo_vs_scan =
-        serial.scan_mb_per_s() > 0
-            ? serial.redo_mb_per_s() / serial.scan_mb_per_s()
+        redo.scan_mb_per_s() > 0
+            ? redo.redo_mb_per_s() / redo.scan_mb_per_s()
             : 0;
     std::printf("\nP6: redo throughput (%d post-checkpoint updates, 64 KiB "
                 "segments):\n",
                 updates);
     std::printf("%-24s %10.1f MB/s  (%llu records, %llu segments, %.4f s)\n",
-                "serial redo", serial.redo_mb_per_s(),
-                (unsigned long long)serial.records_redone,
-                (unsigned long long)serial.segments_scanned,
-                serial.recovery_secs);
-    std::printf("%-24s %10.1f MB/s  (threads=%d, %.4f s)\n", "parallel redo",
-                par.redo_mb_per_s(), par.threads_used, par.recovery_secs);
+                "redo", redo.redo_mb_per_s(),
+                (unsigned long long)redo.records_redone,
+                (unsigned long long)redo.segments_scanned,
+                redo.recovery_secs);
     std::printf("%-24s %10.1f MB/s\n", "raw log scan",
-                serial.scan_mb_per_s());
+                redo.scan_mb_per_s());
     std::printf("%-24s %10.3f   (gated: recovery work per byte vs a bare "
                 "scan)\n",
                 "redo/scan ratio", redo_vs_scan);
-    json.Add("p6/redo_mb_per_s", serial.redo_mb_per_s(), "MB/s", 1);
-    json.Add("p6/parallel_redo_mb_per_s", par.redo_mb_per_s(), "MB/s",
-             par.threads_used);
-    json.Add("p6/scan_mb_per_s", serial.scan_mb_per_s(), "MB/s", 1);
+    json.Add("p6/redo_mb_per_s", redo.redo_mb_per_s(), "MB/s", 1);
+    json.Add("p6/scan_mb_per_s", redo.scan_mb_per_s(), "MB/s", 1);
     json.Add("p6/redo_vs_scan", redo_vs_scan, "ratio", 1);
-    json.Add("p6/records_redone", static_cast<double>(serial.records_redone),
+    json.Add("p6/records_redone", static_cast<double>(redo.records_redone),
              "records", 1);
     json.Add("p6/segments_scanned",
-             static_cast<double>(serial.segments_scanned), "segments", 1);
+             static_cast<double>(redo.segments_scanned), "segments", 1);
   }
 
   std::printf("\nexpected shape: with forward recovery the interrupted "

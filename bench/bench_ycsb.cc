@@ -27,7 +27,7 @@
 // CI note: this container is 1-CPU, so multi-partition cells measure
 // partitioning/executor *overhead and isolation*, not parallel speedup (see
 // EXPERIMENTS.md P5). Absolute numbers are machine-dependent; the regression
-// gate (scripts/check_ycsb_regression.py) only checks machine-normalized
+// gate (scripts/check_bench_regression.py) only checks machine-normalized
 // ratios from the same process.
 //
 // Flags: --quick  (small load, short phases, partitions {1,4})

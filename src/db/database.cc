@@ -31,8 +31,7 @@ Status Database::Open(Env* env, DatabaseOptions options,
   LogManager* log = db->log_.get();
   db->bp_ = std::make_unique<BufferPool>(
       db->disk_.get(), db->options_.buffer_pool_pages,
-      [log](Lsn lsn) { return log->FlushTo(lsn); },
-      db->options_.buffer_pool_shards);
+      [log](Lsn lsn) { return log->FlushTo(lsn); });
 
   db->txn_mgr_ = std::make_unique<TransactionManager>(
       db->log_.get(), &db->locks_, db->bp_.get());
@@ -42,21 +41,19 @@ Status Database::Open(Env* env, DatabaseOptions options,
   db->recovery_ = std::make_unique<RecoveryManager>(
       db->disk_.get(), db->bp_.get(), db->log_.get(), db->master_.get(),
       db->side_file_.get());
-  db->recovery_->set_redo_threads(db->options_.redo_threads);
   s = db->recovery_->Recover(&db->recovery_result_);
   if (!s.ok()) return s;
   const RecoveryResult& rr = db->recovery_result_;
   if (db->options_.verbose_recovery) {
     std::fprintf(stderr,
                  "[recovery] records=%llu redone=%llu segments=%llu "
-                 "recycled=%llu tail_torn=%d dropped=%llu threads=%d\n",
+                 "recycled=%llu tail_torn=%d dropped=%llu\n",
                  static_cast<unsigned long long>(rr.records_scanned),
                  static_cast<unsigned long long>(rr.records_redone),
                  static_cast<unsigned long long>(rr.segments_scanned),
                  static_cast<unsigned long long>(rr.segments_recycled),
                  rr.tail_segment_torn ? 1 : 0,
-                 static_cast<unsigned long long>(rr.wal_bytes_dropped),
-                 rr.redo_threads_used);
+                 static_cast<unsigned long long>(rr.wal_bytes_dropped));
   }
 
   db->options_.tree.optimistic_reads = db->options_.optimistic_reads;

@@ -36,16 +36,13 @@ namespace soreorg {
 
 struct DatabaseOptions {
   size_t buffer_pool_pages = 4096;
-  /// Buffer-pool shard count; 0 = auto (16, scaled down for small pools).
-  /// 1 gives the old single-mutex pool with exact global-LRU semantics.
-  size_t buffer_pool_shards = 0;
   /// Lock-table stripe count; 0 = auto (16). 1 gives the old single-mutex
   /// lock manager with exact legacy wait/wake semantics.
   size_t lock_table_stripes = 0;
   /// WAL group-commit buffer cap (see LogManager::set_buffer_limit).
   size_t log_buffer_bytes = 256 * 1024;
   /// WAL segment size; the log rotates to <prefix>.wal.NNNNNN files of this
-  /// size. 0 = unbounded (a single segment, the pre-segmentation behavior).
+  /// size. Must be nonzero (Open returns InvalidArgument otherwise).
   uint64_t wal_segment_bytes = 4 * 1024 * 1024;
   /// Truncated WAL segments are parked for reuse up to this pool size;
   /// beyond it they are deleted.
@@ -54,10 +51,6 @@ struct DatabaseOptions {
   /// The floor respects the redo LSN, the checkpoint record, active
   /// transactions' undo chains, and an open reorganization unit.
   bool wal_truncate_on_checkpoint = true;
-  /// Redo worker count at recovery: 1 = serial replay (the verification
-  /// oracle), 0 = auto (min(4, hardware threads)), N>1 = partitioned
-  /// parallel redo over page-disjoint components.
-  int redo_threads = 1;
   /// Log one line of recovery forensics to stderr from Open.
   bool verbose_recovery = false;
   /// Latch-free read path for ephemeral point reads and scan batches

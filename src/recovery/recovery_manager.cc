@@ -1,11 +1,6 @@
 #include "src/recovery/recovery_manager.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/reorg/reorg_log.h"
 #include "src/util/coding.h"
@@ -36,54 +31,6 @@ bool IsPageRedoType(LogType t) {
       return true;
     default:
       return false;
-  }
-}
-
-/// Every page a record's redo can read or write. This must stay in lockstep
-/// with BTree::RedoApply / RedoReorgMove / RedoReorgModify: the parallel
-/// partitioning is only sound if no two workers ever touch the same page,
-/// and that guarantee is exactly "components are closed under these sets".
-void TouchPages(const LogRecord& rec, std::vector<PageId>* out) {
-  out->clear();
-  auto add = [out](PageId p) {
-    if (p != kInvalidPageId) out->push_back(p);
-  };
-  switch (rec.type) {
-    case LogType::kInsert:
-    case LogType::kDelete:
-    case LogType::kUpdate:
-    case LogType::kClr:
-    case LogType::kFormatPage:
-    case LogType::kLinkPage:
-    case LogType::kReorgModify:
-      add(rec.page_id);
-      break;
-    case LogType::kLeafSplit:
-      add(rec.page_id);
-      add(rec.page_id2);
-      // Two-way side pointers re-point the old next leaf's prev.
-      if (static_cast<SidePointerMode>(rec.flags) == SidePointerMode::kTwoWay) {
-        add(DecodePid(rec.value));
-      }
-      break;
-    case LogType::kInternalSplit:
-      add(rec.page_id);
-      add(rec.page_id2);
-      // A root split formats the new root named in value2.
-      if (rec.page_id3 == kInvalidPageId) add(DecodePid(rec.value2));
-      break;
-    case LogType::kNodeFree:
-      add(rec.page_id);   // the freed leaf (deallocated, but keep it closed)
-      add(rec.page_id2);  // prev leaf re-linked
-      add(rec.page_id3);  // parent loses the child entry
-      add(DecodePid(rec.value));  // next leaf re-linked
-      break;
-    case LogType::kReorgMove:
-      add(rec.page_id);
-      add(rec.page_id2);
-      break;
-    default:
-      break;
   }
 }
 
@@ -428,7 +375,7 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
     // Page redo is deferred: the analysis pass completes all allocation
     // replay (above, in log order — the alloc-before-data interlock) and
     // metadata/side-file tracking first, then RunPageRedo below replays
-    // these records, serially or partitioned across workers.
+    // these records in log order.
     if (IsPageRedoType(rec.type)) {
       page_redo_indices.push_back(&rec - records.data());
     }
@@ -499,12 +446,7 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
   }
 
   // --- page redo --------------------------------------------------------------
-  int threads = redo_threads_;
-  if (threads <= 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = static_cast<int>(std::min(4u, hw == 0 ? 1u : hw));
-  }
-  s = RunPageRedo(records, page_redo_indices, threads, result);
+  s = RunPageRedo(records, page_redo_indices, result);
   if (!s.ok()) return s;
 
   // Segment-level forensics.
@@ -562,117 +504,11 @@ Status RecoveryManager::ApplyPageRedo(const LogRecord& rec) {
 
 Status RecoveryManager::RunPageRedo(const std::vector<LogRecord>& records,
                                     const std::vector<size_t>& indices,
-                                    int threads, RecoveryResult* result) {
-  if (threads <= 1 || indices.size() < 2) {
-    // Serial oracle: replay in log order, exactly the pre-partitioned path.
-    result->redo_threads_used = 1;
-    result->redo_pages_per_thread.assign(1, 0);
-    result->redo_records_per_thread.assign(1, 0);
-    std::unordered_set<PageId> pages;
-    std::vector<PageId> touched;
-    for (size_t idx : indices) {
-      Status s = ApplyPageRedo(records[idx]);
-      if (!s.ok()) return s;
-      ++result->records_redone;
-      ++result->redo_records_per_thread[0];
-      TouchPages(records[idx], &touched);
-      for (PageId p : touched) pages.insert(p);
-    }
-    result->redo_pages_per_thread[0] = pages.size();
-    return Status::OK();
-  }
-
-  // Union-find over page ids: two records sharing any page land in the same
-  // component, so no two workers can ever touch the same page. Per-page LSN
-  // gates make replay idempotent; log order within a component (preserved
-  // below) makes it order-correct; disjointness makes it race-free — the
-  // final images are bit-identical to the serial oracle's.
-  std::unordered_map<PageId, PageId> parent;
-  std::function<PageId(PageId)> find = [&](PageId p) {
-    auto it = parent.find(p);
-    if (it == parent.end()) {
-      parent.emplace(p, p);
-      return p;
-    }
-    PageId root = p;
-    while (parent[root] != root) root = parent[root];
-    while (parent[p] != root) {
-      PageId next = parent[p];
-      parent[p] = root;
-      p = next;
-    }
-    return root;
-  };
-  std::vector<PageId> touched;
+                                    RecoveryResult* result) {
   for (size_t idx : indices) {
-    TouchPages(records[idx], &touched);
-    if (touched.empty()) continue;
-    PageId root = find(touched[0]);
-    for (size_t i = 1; i < touched.size(); ++i) {
-      parent[find(touched[i])] = root;
-      root = find(root);
-    }
-  }
-  // Group record indices by component root; each group stays in log order
-  // because `indices` is ascending.
-  std::unordered_map<PageId, size_t> comp_slot;
-  std::vector<std::vector<size_t>> components;
-  for (size_t idx : indices) {
-    TouchPages(records[idx], &touched);
-    if (touched.empty()) continue;
-    PageId root = find(touched[0]);
-    auto [it, inserted] = comp_slot.emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].push_back(idx);
-  }
-
-  if (components.empty()) {
-    result->redo_threads_used = 1;
-    result->redo_pages_per_thread.assign(1, 0);
-    result->redo_records_per_thread.assign(1, 0);
-    return Status::OK();
-  }
-  const int t = static_cast<int>(
-      std::min(static_cast<size_t>(threads), components.size()));
-  result->redo_threads_used = t;
-  result->redo_pages_per_thread.assign(t, 0);
-  result->redo_records_per_thread.assign(t, 0);
-
-  // Components are already ordered by first-touch record index; deal them
-  // round-robin so early (usually large) components spread across workers.
-  std::vector<std::vector<size_t>> plan(t);
-  for (size_t c = 0; c < components.size(); ++c) {
-    auto& lane = plan[c % t];
-    lane.insert(lane.end(), components[c].begin(), components[c].end());
-  }
-  std::vector<Status> lane_status(t);
-  std::atomic<uint64_t> redone{0};
-  std::vector<std::thread> workers;
-  workers.reserve(t);
-  for (int w = 0; w < t; ++w) {
-    workers.emplace_back([&, w] {
-      std::vector<size_t>& lane = plan[w];
-      std::sort(lane.begin(), lane.end());  // global log order within worker
-      std::unordered_set<PageId> pages;
-      std::vector<PageId> tp;
-      for (size_t idx : lane) {
-        Status s = ApplyPageRedo(records[idx]);
-        if (!s.ok()) {
-          lane_status[w] = s;
-          return;
-        }
-        redone.fetch_add(1, std::memory_order_relaxed);
-        ++result->redo_records_per_thread[w];
-        TouchPages(records[idx], &tp);
-        for (PageId p : tp) pages.insert(p);
-      }
-      result->redo_pages_per_thread[w] = pages.size();
-    });
-  }
-  for (std::thread& th : workers) th.join();
-  result->records_redone += redone.load(std::memory_order_relaxed);
-  for (const Status& s : lane_status) {
+    Status s = ApplyPageRedo(records[idx]);
     if (!s.ok()) return s;
+    ++result->records_redone;
   }
   return Status::OK();
 }

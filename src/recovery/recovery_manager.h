@@ -73,29 +73,12 @@ struct RecoveryResult {
   uint64_t segments_recycled = 0;
   bool tail_segment_torn = false;
   uint64_t wal_bytes_scanned = 0;  // redo scan volume, for MB/s reporting
-
-  // Parallel-redo forensics. With redo_threads <= 1 redo runs the serial
-  // oracle; otherwise page-redo records are partitioned into page-disjoint
-  // components and replayed by this many workers (per-thread counters are
-  // distinct pages touched / records replayed).
-  int redo_threads_used = 1;
-  std::vector<uint64_t> redo_pages_per_thread;
-  std::vector<uint64_t> redo_records_per_thread;
 };
 
 class RecoveryManager {
  public:
   RecoveryManager(DiskManager* disk, BufferPool* bp, LogManager* log,
                   CheckpointMaster* master, SideFile* side_file);
-
-  /// Redo worker count: 1 = serial replay in log order (the verification
-  /// oracle), 0 = auto (min(4, hardware threads)), N>1 = partitioned
-  /// parallel redo. Parallel redo is order-safe because page redo is
-  /// per-page-LSN gated and records are grouped into page-disjoint
-  /// components (each replayed in log order by exactly one worker); the
-  /// alloc-before-data interlock is preserved by running all allocation
-  /// replay serially, in log order, before any page redo starts.
-  void set_redo_threads(int n) { redo_threads_ = n; }
 
   /// Analysis + redo. Call before constructing/attaching the BTree.
   Status Recover(RecoveryResult* result);
@@ -118,10 +101,9 @@ class RecoveryManager {
   /// kReorgMove/kReorgModify via the handlers above).
   Status ApplyPageRedo(const LogRecord& rec);
   /// Replay the page-redo records named by `indices` (into `records`, in
-  /// ascending log order) across `threads` workers on page-disjoint
-  /// components; fills the per-thread forensics in `result`.
+  /// ascending log order), one at a time in log order.
   Status RunPageRedo(const std::vector<LogRecord>& records,
-                     const std::vector<size_t>& indices, int threads,
+                     const std::vector<size_t>& indices,
                      RecoveryResult* result);
 
   DiskManager* disk_;
@@ -129,7 +111,6 @@ class RecoveryManager {
   LogManager* log_;
   CheckpointMaster* master_;
   SideFile* side_file_;
-  int redo_threads_ = 1;
 };
 
 }  // namespace soreorg

@@ -85,10 +85,7 @@ Status Switcher::Switch(TreeBuilder* builder, SwitchStats* stats) {
       Status ds = builder->DrainSideFile();
       if (ds.ok()) return ds;
       if (!ds.IsBusy() && !ds.IsDeadlock()) return ds;
-      if (!options_.enable_step_aside ||
-          step_asides >= options_.max_step_asides) {
-        return ds;
-      }
+      if (step_asides >= options_.max_step_asides) return ds;
       ++step_asides;
       ++stats->step_asides;
       uint64_t recorded_before = side_file_->total_recorded();
@@ -179,7 +176,6 @@ Status Switcher::Switch(TreeBuilder* builder, SwitchStats* stats) {
         roll_forward();
         return Status::TimedOut("old-tree transactions did not drain");
       }
-      if (!options_.enable_step_aside) continue;
       if (step_asides >= options_.max_step_asides) {
         roll_forward();
         return Status::TimedOut("step-aside budget exhausted");

@@ -86,10 +86,8 @@ struct SwitcherOptions {
   /// test needs a reproducible jitter sequence.
   uint64_t backoff_seed = 0;
 
-  /// Step-aside protocol (the §7.4 deadlock fix). Disabled only by the
-  /// regression test that pins the legacy deadlock behaviour.
-  bool enable_step_aside = true;
-  /// Hard cap on step-aside rounds. Progress is guaranteed (each round
+  /// Hard cap on step-aside rounds (the §7.4 deadlock fix). 0 gives the
+  /// literal protocol's outcome: the first lost old-tree wait rolls forward. Progress is guaranteed (each round
   /// retires at least one parked old-tree updater and no new ones can
   /// appear post-flip), so this only bounds pathological schedules; when it
   /// trips the switcher rolls forward and returns TimedOut.

@@ -632,7 +632,9 @@ void LockManager::ReleaseAll(TxnId txn) {
     hs.held.erase(it);
   }
   // Only the stripes of names this transaction actually held are touched,
-  // one at a time — release-all never takes the whole table.
+  // one at a time — release-all never takes the whole table. Every holder
+  // entry goes first, then the event fires, then waiters wake, so the
+  // release-all event is always observed before anything a woken waiter does.
   for (const LockName& name : names) {
     Stripe& stripe = stripe_for(name);
     std::lock_guard<std::mutex> g(stripe.mu);
@@ -644,11 +646,18 @@ void LockManager::ReleaseAll(TxnId txn) {
       qit->second.holders.erase(h);
     }
     LockedCheckHolders(name, qit->second);
-    LockedWakeWaiters(qit->second);
     LockedMaybeEraseQueue(stripe, qit);
   }
   Notify(LockEvent::kReleaseAll, txn, LockName{LockSpace::kTree, 0},
          LockMode::kIS);
+  for (const LockName& name : names) {
+    Stripe& stripe = stripe_for(name);
+    std::lock_guard<std::mutex> g(stripe.mu);
+    auto qit = stripe.queues.find(name);
+    if (qit == stripe.queues.end()) continue;
+    LockedWakeWaiters(qit->second);
+    LockedMaybeEraseQueue(stripe, qit);
+  }
 }
 
 bool LockManager::HeldMode(TxnId txn, const LockName& name,

@@ -86,6 +86,9 @@ Status LogManager::WriteFreshHeader(File* file, const SegmentHeader& h) {
 }
 
 Status LogManager::Open() {
+  if (opts_.segment_bytes == 0) {
+    return Status::InvalidArgument("WAL segment_bytes must be nonzero");
+  }
   std::lock_guard<std::mutex> g(mu_);
   {
     std::lock_guard<std::mutex> sg(seg_mu_);
@@ -430,8 +433,7 @@ Status LogManager::WriteBatch(const std::string& batch, Lsn batch_off,
     while (done + take + kFrameHeader <= batch.size()) {
       uint32_t len = DecodeFixed32(batch.data() + done + take);
       uint64_t frame = kFrameHeader + len;
-      if (opts_.segment_bytes != 0 &&
-          tail->data_size + take + frame > opts_.segment_bytes &&
+      if (tail->data_size + take + frame > opts_.segment_bytes &&
           !(tail->data_size == 0 && take == 0)) {
         break;
       }

@@ -83,9 +83,9 @@ struct LogReadStats {
 };
 
 struct LogManagerOptions {
-  /// Segment data capacity (excluding the header). 0 = unbounded: a single
-  /// segment, behaviorally the old flat log. A frame larger than this still
-  /// gets written (alone, in an otherwise empty segment).
+  /// Segment data capacity (excluding the header); must be nonzero (Open
+  /// returns InvalidArgument for 0). A frame larger than this still gets
+  /// written (alone, in an otherwise empty segment).
   uint64_t segment_bytes = 4 * 1024 * 1024;
   /// Max truncated segments parked for reuse instead of deleted.
   size_t recycle_max = 2;

@@ -132,17 +132,16 @@ TEST(CrashTortureTest, TornPageWriteTinyPrefix) {
 }
 
 TEST(CrashTortureTest, CleanCrashAcrossSegmentRotationAndTruncation) {
-  // ISSUE 10 acceptance: tiny WAL segments force rotation every few records,
-  // and a checkpoint inside the swept window drives truncation — so the
-  // sweep crashes at every I/O point of the seal / create-or-recycle /
-  // dirsync / park-rename / delete protocol, not just at record writes.
-  // Recovery (with parallel redo) must produce the model at every point.
+  // Tiny WAL segments force rotation every few records, and a checkpoint
+  // inside the swept window drives truncation — so the sweep crashes at
+  // every I/O point of the seal / create-or-recycle / dirsync / park-rename
+  // / delete protocol, not just at record writes. Recovery must produce the
+  // model at every point.
   TortureOptions opt = SmallWorkload(TortureMode::kCleanCrash);
   opt.stride = 3;
   opt.checkpoint_churn_txns = 24;
   opt.db.wal_segment_bytes = 4096;
   opt.db.wal_recycle_segments = 2;
-  opt.db.redo_threads = 4;
   TortureHarness harness(opt);
   TortureStats stats;
   Status s = harness.Run(&stats);
@@ -162,7 +161,6 @@ TEST(CrashTortureTest, TornWalWriteAcrossSegmentBoundaries) {
   opt.stride = 4;
   opt.checkpoint_churn_txns = 24;
   opt.db.wal_segment_bytes = 4096;
-  opt.db.redo_threads = 4;
   TortureHarness harness(opt);
   TortureStats stats;
   Status s = harness.Run(&stats);

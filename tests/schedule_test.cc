@@ -133,18 +133,22 @@ std::vector<std::string> RunRxBackoffScript(size_t stripes) {
     ASSERT_TRUE(lm.Lock(kReorgTxnId, leaf, LockMode::kRX).ok());
     ctrl.Point("rx-held");
     lm.ReleaseAll(kReorgTxnId);
+    ctrl.Point("released");
   });
   ctrl.Spawn("reader", [&] {
     ctrl.Point("begin");
     s_read1 = lm.Lock(kT1, leaf, LockMode::kS);
     ctrl.Point("backed-off");
     s_rs = lm.LockInstant(kT1, leaf, LockMode::kRS);
+    ctrl.Point("rs-done");
     s_read2 = lm.Lock(kT1, leaf, LockMode::kS);
     lm.ReleaseAll(kT1);
   });
   // reorg takes RX; reader backs off; reader then parks in its RS wait;
-  // reorg releases; the reader's wait resolves and the retry succeeds.
-  ctrl.SetScript({"reorg", "reader", "reader", "reorg"});
+  // reorg releases; the reader's wait resolves and the retry succeeds; reorg
+  // finishes last. Both actors stop at a point after the release, so no two
+  // live threads ever race to append to the trace.
+  ctrl.SetScript({"reorg", "reader", "reader", "reorg", "reader", "reorg"});
   EXPECT_TRUE(ctrl.Run().ok()) << ctrl.TraceString();
 
   EXPECT_TRUE(s_read1.IsBackoff()) << s_read1.ToString();
