@@ -45,8 +45,10 @@ ScheduleController::~ScheduleController() {
 }
 
 void ScheduleController::InstallLockHooks(LockManager* lm) {
-  lm->SetEventHook([this](LockEvent e, TxnId txn, const LockName& name,
-                          LockMode mode) { OnLockEvent(e, txn, name, mode); });
+  lm->SetEventHook([this, lm](LockEvent e, TxnId txn, const LockName& name,
+                              LockMode mode) {
+    OnLockEvent(lm, e, txn, name, mode);
+  });
 }
 
 void ScheduleController::InstallFetchHook(BufferPool* bp) {
@@ -116,9 +118,8 @@ void ScheduleController::Note(const std::string& event) {
   LockedAddTrace(a->name + ":note:" + event);
 }
 
-void ScheduleController::OnLockEvent(LockEvent e, TxnId txn,
+void ScheduleController::OnLockEvent(LockManager* lm, LockEvent e, TxnId txn,
                                      const LockName& name, LockMode mode) {
-  (void)txn;
   Actor* a = static_cast<Actor*>(tls_actor);
   if (a == nullptr || a->ctrl != this) return;
   std::string entry = a->name + ":" + LockEventName(e);
@@ -133,6 +134,8 @@ void ScheduleController::OnLockEvent(LockEvent e, TxnId txn,
     // without consuming a step. It becomes runnable again when the manager
     // wakes it (the terminal event below).
     a->state = ActorState::kParked;
+    a->parked_in = lm;
+    a->parked_txn = txn;
     cv_.notify_all();
     return;
   }
@@ -159,6 +162,10 @@ void ScheduleController::LockedAddTrace(std::string entry) {
 bool ScheduleController::LockedQuiescent() const {
   for (const auto& a : actors_) {
     if (a->state == ActorState::kRunning) return false;
+    if (a->state == ActorState::kParked &&
+        !a->parked_in->WaitIsBlocked(a->parked_txn)) {
+      return false;
+    }
   }
   return true;
 }
@@ -198,11 +205,11 @@ bool ScheduleController::LockedAwaitQuiescence(
       if (LockedQuiescent()) return true;
       continue;
     }
-    if (cv_.wait_until(*lk, deadline) == std::cv_status::timeout &&
-        !LockedQuiescent()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
       LockedStall("an actor never came back to a point");
       return false;
     }
+    cv_.wait_for(*lk, std::chrono::microseconds(options_.settle_us));
   }
 }
 

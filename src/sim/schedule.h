@@ -13,7 +13,10 @@
 // In between, the controller listens to LockManager's event hook and
 // BufferPool's fetch hook: an actor whose lock request blocks (LockEvent
 // kWait) is marked *parked* — it is descheduled without consuming a step and
-// becomes runnable again only when another actor's action unblocks it. Every
+// becomes runnable again only when another actor's action unblocks it. The
+// controller asks the LockManager whether a parked actor is really asleep
+// (LockManager::WaitIsBlocked) instead of guessing from elapsed time, so a
+// slow thread on a loaded machine cannot run alongside the next step. Every
 // point, park, and lock event is appended to a trace; a test asserts on trace
 // ordering, which makes the interleaving itself the test oracle.
 //
@@ -126,10 +129,13 @@ class ScheduleController {
     std::thread thread;
     ActorState state = ActorState::kRunning;
     bool granted = false;
+    // While kParked: the manager and transaction the actor is waiting in.
+    LockManager* parked_in = nullptr;
+    TxnId parked_txn = kInvalidTxnId;
   };
 
-  void OnLockEvent(LockEvent e, TxnId txn, const LockName& name,
-                   LockMode mode);
+  void OnLockEvent(LockManager* lm, LockEvent e, TxnId txn,
+                   const LockName& name, LockMode mode);
   void OnFetch(PageId page_id);
 
   // All Locked* helpers require mu_ held.
@@ -137,11 +143,15 @@ class ScheduleController {
   // releases everything).
   void LockedWaitAtPoint(Actor* a, std::unique_lock<std::mutex>* lk);
   void LockedAddTrace(std::string entry);
-  bool LockedQuiescent() const;  // no actor running
+  // No actor running. A parked actor counts as running until its thread is
+  // asleep in the lock wait, and again once its manager hands it a wake
+  // token, before the thread gets to report itself.
+  bool LockedQuiescent() const;
   bool LockedAllDone() const;
   Actor* LockedFindActor(const std::string& name);
   // Wait (with the stall deadline) until no actor is running, debounced by
-  // settle_us so a just-woken parked thread is not mistaken for quiescence.
+  // settle_us and polled every settle_us: a woken actor whose request must
+  // wait again goes back to sleep without emitting an event.
   bool LockedAwaitQuiescence(std::unique_lock<std::mutex>* lk);
   void LockedStall(const std::string& why);
 

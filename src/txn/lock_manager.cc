@@ -510,9 +510,12 @@ Status LockManager::LockWait(TxnId txn, const LockName& name, LockMode mode,
     // A non-self victim (the reorganizer) was killed inside the sweep; its
     // exit and the subsequent release of its locks will signal us. Sleep.
 
+    w.asleep = true;
     if (timeout_ms >= 0) {
-      if (!w.cv.wait_until(lk, deadline,
-                           [&] { return w.signaled || w.killed; })) {
+      const bool woken = w.cv.wait_until(
+          lk, deadline, [&] { return w.signaled || w.killed; });
+      w.asleep = false;
+      if (!woken) {
         remove_self();
         LockedWakeWaiters(q);
         LockedMaybeEraseQueue(stripe, qit);
@@ -521,6 +524,7 @@ Status LockManager::LockWait(TxnId txn, const LockName& name, LockMode mode,
       }
     } else {
       w.cv.wait(lk, [&] { return w.signaled || w.killed; });
+      w.asleep = false;
     }
     w.signaled = false;
   }
@@ -677,6 +681,20 @@ size_t LockManager::HeldCount(TxnId txn) const {
   std::lock_guard<std::mutex> g(hs.mu);
   auto it = hs.held.find(txn);
   return it == hs.held.end() ? 0 : it->second.size();
+}
+
+bool LockManager::WaitIsBlocked(TxnId txn) const {
+  for (const auto& st : stripes_) {
+    std::lock_guard<std::mutex> g(st.mu);
+    for (const auto& [name, q] : st.queues) {
+      for (const Waiter* w : q.waiters) {
+        if (w->txn == txn && w->asleep && !w->signaled && !w->killed) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
 LockStats LockManager::stats() const {

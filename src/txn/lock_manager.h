@@ -178,6 +178,14 @@ class LockManager {
   /// Number of distinct lock names currently held by txn.
   size_t HeldCount(TxnId txn) const;
 
+  /// True iff `txn`'s thread is asleep in a lock wait with no wake token
+  /// pending: only another transaction's release, a deadlock kill or its own
+  /// timeout can end the wait. False while the thread is still on its way
+  /// into the wait, and false again as soon as a release hands it a token,
+  /// before the thread runs. The schedule harness uses this to tell a parked
+  /// actor that is truly blocked from one that is still moving.
+  bool WaitIsBlocked(TxnId txn) const;
+
   /// Number of stripes the table was built with (power of two).
   size_t stripe_count() const { return stripes_.size(); }
 
@@ -256,6 +264,7 @@ class LockManager {
     bool granted = false;
     bool killed = false;    // deadlock victim
     bool signaled = false;  // wake token, consumed by the owning thread
+    bool asleep = false;    // the owning thread is blocked on `cv`
     // Per-waiter wakeup channel: exactly one thread ever waits on it, and
     // it is signaled only by code holding this waiter's stripe mutex.
     std::condition_variable cv;

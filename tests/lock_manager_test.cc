@@ -240,9 +240,14 @@ TEST_P(StripedLockManagerTest, FairnessNoOvertakingQueuedExclusive) {
     ASSERT_TRUE(lm.Lock(kT2, n, LockMode::kX).ok());
     lm.ReleaseAll(kT2);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Wait until the X request is queued: on a loaded machine a fixed sleep
+  // can end before t2 runs, and then there is nothing to overtake.
+  while (lm.stats().waits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // A fresh S request must queue behind the waiting X, not starve it.
   EXPECT_TRUE(lm.TryLock(kT3, n, LockMode::kS).IsBusy());
+  lm.ReleaseAll(kT3);  // a no-op unless the check failed; t2 must not hang
   lm.ReleaseAll(kT1);
   t2.join();
 }

@@ -1,12 +1,13 @@
-// Partitioned parallel redo (ISSUE 10): replaying the same crashed image
-// with 1 and with 4 redo threads must produce bit-identical page files (the
-// serial replay is the verification oracle); checkpoint-driven truncation
-// floors bound the redo scan to the segments written since the floor; and
-// the RecoveryResult forensics (threads used, per-thread work, segment
-// counts, torn tail) are populated and consistent.
+// Redo scan bounds and recovery forensics: checkpoint-driven truncation
+// floors bound the redo scan to the segments written since the floor, with
+// and without the dead segments still on disk, and the RecoveryResult
+// forensics (segment counts, torn tail, dropped bytes) are populated after a
+// crash with a torn tail. The suite keeps the name it had when redo also ran
+// page-partitioned on several threads; redo is now one serial log-order pass.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,9 +36,7 @@ DatabaseOptions SmallSegmentOptions() {
 
 // Deterministic workload that ends in a crash: load + checkpoint baseline,
 // then scattered single-page updates/deletes until the armed fault takes
-// the env down. Two runs with the same options produce identical durable
-// images, so recoveries with different thread counts start from the same
-// bytes.
+// the env down.
 void BuildCrashedImage(FaultInjectionEnv* env, const DatabaseOptions& opts,
                        int crash_at_op) {
   std::unique_ptr<Database> db;
@@ -66,72 +65,6 @@ void BuildCrashedImage(FaultInjectionEnv* env, const DatabaseOptions& opts,
   ASSERT_TRUE(env->fault_fired());
   db.reset();   // destructor flushes fail against the downed env
   env->Crash();  // volatile state is gone
-}
-
-// Whole-file durable bytes, for bit-identity comparison.
-std::string FileBytes(Env* env, const std::string& name) {
-  std::unique_ptr<File> f;
-  if (!env->NewFile(name, &f).ok()) return {};
-  const uint64_t size = f->Size();
-  std::string buf(size, '\0');
-  size_t got = 0;
-  if (!f->Read(0, size, buf.data(), &got).ok()) return {};
-  buf.resize(got);
-  return buf;
-}
-
-TEST(ParallelRedoTest, ParallelRedoIsBitIdenticalToSerialOracle) {
-  constexpr int kCrashAt = 400;
-  MemEnv base1, base4;
-  FaultInjectionEnv env1(&base1), env4(&base4);
-  DatabaseOptions build = SmallSegmentOptions();
-  BuildCrashedImage(&env1, build, kCrashAt);
-  BuildCrashedImage(&env4, build, kCrashAt);
-  ASSERT_EQ(FileBytes(&env1, "soreorg.pages"),
-            FileBytes(&env4, "soreorg.pages"))
-      << "the two crashed images must start identical";
-
-  DatabaseOptions serial = build;
-  serial.redo_threads = 1;
-  DatabaseOptions parallel = build;
-  parallel.redo_threads = 4;
-
-  std::unique_ptr<Database> db1, db4;
-  ASSERT_TRUE(Database::Open(&env1, serial, &db1).ok());
-  ASSERT_TRUE(Database::Open(&env4, parallel, &db4).ok());
-  const RecoveryResult& r1 = db1->recovery_result();
-  const RecoveryResult& r4 = db4->recovery_result();
-  EXPECT_EQ(r1.redo_threads_used, 1);
-  EXPECT_GE(r4.redo_threads_used, 1);
-  EXPECT_GT(r1.records_redone, 0u) << "the crash must leave redo work";
-  EXPECT_EQ(r1.records_redone, r4.records_redone);
-  EXPECT_EQ(r1.records_scanned, r4.records_scanned);
-
-  // Logical equality first (better failure messages than a byte diff)...
-  std::vector<std::pair<std::string, std::string>> got1, got4;
-  auto collect = [](std::vector<std::pair<std::string, std::string>>* out) {
-    return [out](const Slice& k, const Slice& v) {
-      out->emplace_back(k.ToString(), v.ToString());
-      return true;
-    };
-  };
-  ASSERT_TRUE(db1->Scan(Slice(), Slice(), collect(&got1)).ok());
-  ASSERT_TRUE(db4->Scan(Slice(), Slice(), collect(&got4)).ok());
-  EXPECT_EQ(got1, got4);
-  ASSERT_TRUE(db1->tree()->CheckConsistency().ok());
-  ASSERT_TRUE(db4->tree()->CheckConsistency().ok());
-
-  // ...then the hard claim: after a full flush the page files are
-  // bit-identical — parallel redo left no page in a different state than
-  // the serial oracle.
-  ASSERT_TRUE(db1->buffer_pool()->FlushAndSync().ok());
-  ASSERT_TRUE(db4->buffer_pool()->FlushAndSync().ok());
-  db1.reset();
-  db4.reset();
-  const std::string pages1 = FileBytes(&env1, "soreorg.pages");
-  const std::string pages4 = FileBytes(&env4, "soreorg.pages");
-  ASSERT_FALSE(pages1.empty());
-  EXPECT_EQ(pages1, pages4);
 }
 
 TEST(ParallelRedoTest, CheckpointFloorBoundsSegmentsScanned) {
@@ -217,23 +150,12 @@ TEST(ParallelRedoTest, ForensicsFieldsAreConsistent) {
     ASSERT_TRUE(f->Append("garbage-torn-tail").ok());
   }
 
-  DatabaseOptions opts = build;
-  opts.redo_threads = 4;
   std::unique_ptr<Database> db;
-  ASSERT_TRUE(Database::Open(&env, opts, &db).ok());
+  ASSERT_TRUE(Database::Open(&env, build, &db).ok());
   const RecoveryResult& rr = db->recovery_result();
   EXPECT_TRUE(rr.tail_segment_torn);
   EXPECT_GT(rr.wal_bytes_dropped, 0u);
   EXPECT_GT(rr.segments_scanned, 0u);
-  EXPECT_GE(rr.redo_threads_used, 1);
-  ASSERT_EQ(rr.redo_pages_per_thread.size(),
-            static_cast<size_t>(rr.redo_threads_used));
-  ASSERT_EQ(rr.redo_records_per_thread.size(),
-            static_cast<size_t>(rr.redo_threads_used));
-  uint64_t sum = 0;
-  for (uint64_t n : rr.redo_records_per_thread) sum += n;
-  EXPECT_EQ(sum, rr.records_redone)
-      << "per-thread record counts must add up to the total";
   ASSERT_TRUE(db->tree()->CheckConsistency().ok());
 }
 
